@@ -26,7 +26,7 @@ along and emits ``BENCH_harness.json`` at the repository root:
    with cold caches, and 4-worker parallel with a warm disk cache.
 5. **Warm workers**: repeated small sweeps with cleared result caches,
    cold pool (re-spawned per sweep) vs one reused warm pool (persistent
-   kernel cache, warm-seeded solver memos, work-stealing dispatch) —
+   kernel cache, work-stealing dispatch) —
    the cost repeated interactive figure runs actually pay.
 6. **Correctness**: the serial and parallel sweeps must produce
    identical RunResults (also property-tested in
@@ -120,10 +120,9 @@ def _sparse_machine(backend: str) -> Machine:
 def _contended_machine(backend: str) -> Machine:
     """The contended mix (1 FG + 5 BG), noise-free.
 
-    This is the solver-bound regime the tabulated fast path targets:
-    every tick runs the full coupled model (6 lanes, occupancy moving
-    every tick), and with jitter off the clone-lane dedup and exact
-    tabulation apply.  The jittered variant is measured separately as
+    This is the solver-bound regime the dedup kernels target: every
+    tick runs the full coupled model (6 lanes, occupancy moving every
+    tick), and with jitter off the clone-lane dedup kernels apply.  The jittered variant is measured separately as
     ``contended_noisy`` — mandatory per-tick Box-Muller draws bound
     what any bit-exact kernel can save there.
     """

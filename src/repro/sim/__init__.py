@@ -16,7 +16,6 @@ from repro.sim.memguard import BandwidthBudget, MemGuard
 from repro.sim.memory import MemorySystem
 from repro.sim.osal import SystemInterface
 from repro.sim.perf import (
-    MissCurveTable,
     PerfInput,
     PerfOutput,
     clear_solver_tables,
@@ -52,7 +51,6 @@ __all__ = [
     "MemorySystem",
     "MemGuard",
     "BandwidthBudget",
-    "MissCurveTable",
     "PerfInput",
     "PerfOutput",
     "solve_tick",

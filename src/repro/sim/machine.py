@@ -274,9 +274,10 @@ class Machine:
         """Advance the machine by ``ticks`` ticks.
 
         With the batch backend, event-free spans are advanced by the
-        fused multi-tick kernel in :mod:`repro.sim.batch`; the scalar
-        backend (and every tick that carries an event) goes through the
-        reference :meth:`tick` kernel.
+        engine in :mod:`repro.sim.batch` (a compiled span kernel where
+        one covers the shape); the scalar backend, every tick that
+        carries an event, and uncovered spans go through the reference
+        :meth:`tick` kernel.
         """
         if ticks < 0:
             raise SimulationError("ticks must be >= 0")
@@ -307,8 +308,8 @@ class Machine:
         Applies due DVFS transitions and fires due timers exactly as the
         first lines of :meth:`tick` would.  The batch engine calls this
         when an event lands on the current tick, then advances the tick
-        itself through the fused span kernel; :meth:`tick` performs the
-        same preamble inline, so scalar semantics are unchanged.
+        itself as the first tick of the next span; :meth:`tick` performs
+        the same preamble inline, so scalar semantics are unchanged.
         """
         if not self._settled:
             self.settle_cache()

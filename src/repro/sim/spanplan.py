@@ -1,12 +1,16 @@
-"""Span-compiled fast path for the batch engine's contended spans.
+"""Span-compiled kernels: the batch engine's first tier.
 
-The generic fused kernel in :mod:`repro.sim.batch` already amortizes
-event checks across a span, but its inner loop still pays interpreted
-``for i in range(n)`` dispatch, list indexing, and per-tick method calls
-(``rng.gauss``, ``SharedCache.tick_update``) for every tick.  On the
+The batch engine in :mod:`repro.sim.batch` amortizes event checks
+across a *span* of event-free ticks.  It runs each span on one of two
+tiers: a compiled kernel from this module, or — for the shapes
+:meth:`SpanPlanner.plan_for_span` does not cover (an idle machine,
+overlapping cache masks, a substituted jitter RNG) — the scalar
+reference :meth:`repro.sim.machine.Machine.tick`, tick by tick.  On the
 contended shapes every Dirigent figure simulates (1 FG + 5 BG, jitter
-on), that interpreter overhead dominates — the stationary fast path
-never engages because jittered spans never converge.
+on), the scalar kernel's interpreted ``for i in range(n)`` dispatch,
+list indexing, and per-tick method calls (``rng.gauss``,
+``SharedCache.tick_update``) dominate, which is what the compiled tier
+removes.
 
 This module compiles each *span shape* into a specialized kernel:
 
@@ -46,8 +50,7 @@ This module compiles each *span shape* into a specialized kernel:
   own left-associated accumulation so results stay bit-identical.
   ``SpanPlan.run`` routes to the dedup kernel only after revalidating
   that the clone lanes' occupancy and miss-curve state still compare
-  bit-equal; ``REPRO_MISSCURVE_TABLE=0`` disables the dedup kernels
-  (and the exact solver tables in :mod:`repro.sim.perf`) entirely.
+  bit-equal.
 
 **Bit-exactness.**  Every generated kernel performs the same
 floating-point operations in the same order as ``Machine.tick``:
@@ -59,10 +62,6 @@ replay stored outputs of the identical pure computation.  The
 equivalence suite (``tests/sim/test_batch_equivalence.py`` and
 ``tests/sim/test_spanplan.py``) pins all of this against the scalar
 reference.
-
-Set ``REPRO_SPAN_COMPILE=0`` to disable the compiled path (the generic
-fused kernel then handles every span); this is a debugging aid, not a
-supported configuration knob.
 """
 
 from __future__ import annotations
@@ -71,11 +70,6 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.config import (
-    ENV_SPAN_COMPILE,
-    misscurve_table_enabled,
-    span_compile_enabled,
-)
 from repro.sim.perf import (
     FIXED_POINT_ITERATIONS as _FIXED_POINT_ITERATIONS,
     MPKI_SCALE,
@@ -83,10 +77,9 @@ from repro.sim.perf import (
 from repro.sim.process import STATE_RUNNING
 
 __all__ = [
-    "ENV_SPAN_COMPILE", "SpanPlan", "SpanPlanner", "SpanStats",
-    "compile_cell_kernel", "consume_kernel_cache_stats",
-    "generate_kernel_source", "kernel_cache_stats", "preload_kernels",
-    "span_compile_enabled", "template_shapes",
+    "SpanPlan", "SpanPlanner", "SpanStats", "compile_cell_kernel",
+    "consume_kernel_cache_stats", "generate_kernel_source",
+    "kernel_cache_stats", "preload_kernels", "template_shapes",
 ]
 
 #: Cap on cached plans per engine; machine states cycle through a
@@ -109,11 +102,12 @@ class SpanStats:
 
     Attributes mirror the benchmark's ``fast_path`` block:
 
-    * ``spans``: spans the batch engine opened (compiled or generic);
-    * ``compiled_spans`` / ``generic_spans``: which kernel ran them;
+    * ``spans``: spans the batch engine opened;
+    * ``compiled_spans``: spans a compiled kernel ran (the rest ran on
+      ``Machine.tick``);
     * ``compiled_ticks``: ticks executed by compiled kernels;
-    * ``stationary_ticks``: ticks that skipped the model entirely
-      (compiled kernels only; the generic kernel keeps its own path);
+    * ``stationary_ticks``: compiled ticks that skipped the model
+      entirely;
     * ``memo_hits`` / ``memo_misses``: fixed-point memo lookups;
     * ``misscurve_evals``: per-lane miss-curve re-evaluations (the
       per-core partial recomputes; lanes whose occupancy did not move
@@ -135,11 +129,10 @@ class SpanStats:
     * ``rho_warm_hits``: compiled ticks whose rho came from a warm
       source — the stationary fast path or an exact-input memo hit —
       instead of re-running the fixed point;
-    * ``table_hits``: solver evaluations served from an exact table
-      instead of recomputed — clone lanes reusing their class
-      representative's per-tick solve in dedup kernels;
-    * ``table_builds``: exact solver tables built — clone classes a
-      dedup kernel pair was compiled for;
+    * ``table_hits``: per-tick solves skipped by clone lanes reusing
+      their class representative's solve in dedup kernels;
+    * ``table_builds``: clone classes a dedup kernel pair was compiled
+      for;
     * ``partial_peels``: cells evicted from a fused multi-cell span
       while the surviving cells kept running fused (wholesale span
       aborts do not count).
@@ -148,7 +141,6 @@ class SpanStats:
     __slots__ = (
         "spans",
         "compiled_spans",
-        "generic_spans",
         "compiled_ticks",
         "stationary_ticks",
         "memo_hits",
@@ -302,8 +294,8 @@ def _generate_source(shape: tuple) -> str:
 
     The emitted ``run`` performs, tick by tick, exactly the float
     operations of the scalar reference (see the per-section comments in
-    :meth:`repro.sim.machine.Machine.tick` and the generic
-    ``BatchEngine._run_span``), with each lane unrolled into locals.
+    :meth:`repro.sim.machine.Machine.tick`), with each lane unrolled
+    into locals.
 
     When ``shape`` carries the stolen flag, the span's first tick is
     peeled out of the loop and charges each lane's pending runtime
@@ -1261,7 +1253,7 @@ def template_shapes() -> Tuple[tuple, ...]:
          False, False, (0,)),
         # Clone-lane dedup: the sigma-0 contended mix where the five
         # BG lanes are one clone class — the solver-bound regime the
-        # exact tabulation exists for (inertia occupancy, energy off).
+        # dedup kernels exist for (inertia occupancy, energy off).
         (6, six, fg_of_six, (True,) * 6, False, False,
          ((16, six),), (0, 1), False, False, (0, 1, 1, 1, 1, 1)),
         # Dedup + snap occupancy + peeled stolen tick (the stolen tick
@@ -1319,13 +1311,13 @@ class SpanPlan:
     def run(self, span: int, stolen: bool = False) -> int:
         """Run up to ``span`` event-free ticks; returns ticks executed.
 
-        Mirrors the generic ``BatchEngine._run_span`` contract: may
-        return early when a guard fires or an FG execution completes;
-        rho observation, cache write-back, and completion listeners all
-        happen here, in the scalar kernel's order.  Pass ``stolen=True``
-        when a core carries stolen overhead time: that kernel variant
-        peels the span's first tick and charges the overhead exactly as
-        the scalar kernel would.
+        May return early (including 0) when a guard fires or an FG
+        execution completes; the batch engine then runs the event tick
+        on ``Machine.tick``.  Rho observation, cache write-back, and
+        completion listeners all happen here, in the scalar kernel's
+        order.  Pass ``stolen=True`` when a core carries stolen overhead
+        time: that kernel variant peels the span's first tick and
+        charges the overhead exactly as the scalar kernel would.
 
         When the plan compiled clone-dedup kernels, they are selected
         only after revalidating the dedup invariant: every clone lane's
@@ -1400,7 +1392,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
 
     Returns None for shapes the compiled path does not cover (no
     running lanes, overlapping cache-mask groups, or a non-standard
-    jitter RNG); the generic fused kernel handles those.
+    jitter RNG); the batch engine runs those on ``Machine.tick``.
     """
     m = machine
     config = m.config
@@ -1419,7 +1411,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     if jitter:
         for core, _, _ in lanes:
             # The inline gauss replays CPython's exact algorithm; any
-            # substituted RNG type falls back to the generic kernel.
+            # substituted RNG type runs on the scalar kernel instead.
             if type(m._jitter_rngs[core]) is not random.Random:
                 return None
     active_bits = 0
@@ -1545,7 +1537,7 @@ def _build_plan(machine, stats: SpanStats) -> Optional[SpanPlan]:
     plan.kernel_dedup = None
     plan.kernel_dedup_stolen = None
     plan.clone_checks = ()
-    if not jitter and n > 1 and misscurve_table_enabled():
+    if not jitter and n > 1:
         lane_group = {}
         for gi, (_ways, cores_g) in enumerate(groups_cores):
             for c in cores_g:
@@ -1613,10 +1605,9 @@ class SpanPlanner:
     def plan_for_span(self) -> Optional[SpanPlan]:
         """A plan matching the machine's current state, or None.
 
-        None means the shape is unsupported here and the caller should
-        run the generic fused kernel (which also re-syncs any stale
-        phase cursors — this method syncs them first, exactly as the
-        generic gather does).
+        None means the shape is unsupported here and the caller runs
+        the span on ``Machine.tick``.  Stale phase cursors are synced
+        first, exactly as the scalar kernel's gather does.
         """
         m = self._m
         gov_freqs = m._gov_freqs

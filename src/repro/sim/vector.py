@@ -56,11 +56,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.sim.config import (
-    env_vector_cells,
-    span_compile_enabled,
-    vector_numpy_enabled,
-)
+from repro.sim.config import env_vector_cells, vector_numpy_enabled
 from repro.sim.perf import FIXED_POINT_ITERATIONS as _FIXED_POINT_ITERATIONS
 from repro.sim.process import STATE_RUNNING
 from repro.sim.spanplan import (
@@ -220,11 +216,7 @@ class MultiCell:
         machines = self._machines
         cells = range(len(machines)) if indices is None else indices
         remaining: Dict[int, int] = {c: ticks for c in cells}
-        fused_ok = (
-            _np is not None
-            and vector_numpy_enabled()
-            and span_compile_enabled()
-        )
+        fused_ok = _np is not None and vector_numpy_enabled()
         cap = env_vector_cells()
         if cap is not None and cap < 2:
             fused_ok = False

@@ -212,6 +212,70 @@ class TestEventEquivalence:
         assert totals[0] == totals[1]
 
 
+class TestIdleShapeEquivalence:
+    """Zero running lanes: no compiled plan, so spans run on Machine.tick.
+
+    An empty machine and one whose processes are all paused both leave
+    the span planner nothing to compile.  Energy accounting and a timer
+    callback that moves DVFS grades keep the idle ticks observable.
+    """
+
+    def _run_idle(self, backend, populate):
+        from repro.sim.energy import EnergyModel
+
+        config = MachineConfig(seed=21)
+        machine = Machine(config, backend=backend)
+        machine.attach_energy_model(EnergyModel(config.num_cores))
+        populate(machine)
+        before = machine.backend_stats()
+        trace = []
+
+        def periodic():
+            tick = machine.clock.tick
+            trace.append((tick, machine.energy.system_joules))
+            machine.step_frequency(tick % config.num_cores,
+                                   -1 if tick % 2 else 1)
+            machine.schedule_wakeup(4.1e-3, periodic)
+
+        machine.schedule_wakeup(4.1e-3, periodic)
+        machine.run_ticks(3_000)
+        return machine, trace, before
+
+    def _assert_idle_identical(self, populate):
+        scalar, trace_s, _ = self._run_idle(BACKEND_SCALAR, populate)
+        batch, trace_b, before = self._run_idle(BACKEND_BATCH, populate)
+        assert trace_s == trace_b
+        assert len(trace_s) > 100  # the callback fired throughout
+        assert scalar.clock.tick == batch.clock.tick
+        assert scalar.rho == batch.rho
+        _assert_counters_equal(scalar, batch)
+        for core in range(scalar.config.num_cores):
+            assert scalar.cache.effective_ways(core) == \
+                batch.cache.effective_ways(core)
+            assert scalar.governor.grade(core) == batch.governor.grade(core)
+        assert (scalar.energy.system_joules, scalar.energy.elapsed_s) == (
+            batch.energy.system_joules, batch.energy.elapsed_s
+        )
+        # Every idle-phase span ran on the scalar tier.
+        after = batch.backend_stats()
+        assert after["spans"] > before["spans"]
+        assert after["compiled_spans"] == before["compiled_spans"]
+
+    def test_empty_machine_identical(self):
+        self._assert_idle_identical(lambda machine: None)
+
+    def test_all_paused_machine_identical(self):
+        def populate(machine):
+            _spawn_mixed(machine)
+            # Run first so the cache holds occupancy that then decays
+            # under inertia while every process sits paused.
+            machine.run_ticks(200)
+            for proc in machine.processes:
+                machine.pause(proc.pid)
+
+        self._assert_idle_identical(populate)
+
+
 class TestPolicyDecisionEquivalence:
     """The full Dirigent stack must decide identically on both backends."""
 

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.config import DEFAULT_FREQ_GRADES_GHZ, PAPER_MACHINE, MachineConfig
+from repro.sim.config import (
+    DEFAULT_FREQ_GRADES_GHZ,
+    KNOBS,
+    PAPER_MACHINE,
+    MachineConfig,
+)
+
+#: Every on/off knob; each must accept the same off-values.
+FLAG_KNOBS = [knob for knob in KNOBS if knob.kind == "flag"]
 
 
 class TestDefaults:
@@ -150,16 +158,21 @@ class TestEnvKnobAccessors:
         monkeypatch.setenv("REPRO_WORKERS", "typo")
         assert env_workers() is None
 
-    def test_span_compile_flag_off_values(self, monkeypatch):
-        from repro.sim.config import span_compile_enabled
+    @pytest.mark.parametrize(
+        "knob", FLAG_KNOBS, ids=[knob.name for knob in FLAG_KNOBS]
+    )
+    def test_flag_knob_off_values(self, monkeypatch, knob):
+        import repro.sim.config as config
 
-        monkeypatch.delenv("REPRO_SPAN_COMPILE", raising=False)
-        assert span_compile_enabled() is True
-        for off in ("0", "off", "FALSE"):
-            monkeypatch.setenv("REPRO_SPAN_COMPILE", off)
-            assert span_compile_enabled() is False
-        monkeypatch.setenv("REPRO_SPAN_COMPILE", "1")
-        assert span_compile_enabled() is True
+        accessor = getattr(config, knob.accessor)
+        monkeypatch.delenv(knob.name, raising=False)
+        assert accessor() is True
+        for off in ("0", "off", "false", "FALSE", " Off "):
+            monkeypatch.setenv(knob.name, off)
+            assert accessor() is False, off
+        for on in ("1", "on", "true", ""):
+            monkeypatch.setenv(knob.name, on)
+            assert accessor() is True, on
 
     def test_harness_resolves_executions_at_call_time(self, monkeypatch):
         # End-to-end: the experiment harness observes the env change made
