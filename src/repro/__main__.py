@@ -47,38 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulation backend (default: REPRO_SIM_BACKEND "
                           "or batch); scalar is the bit-exact reference")
     sub.add_parser("table1", help="print the benchmark inventory")
-    lint = sub.add_parser(
+    # Listed here for ``repro --help`` only: main() hands ``repro lint``
+    # arguments to repro.analysis.cli unparsed, which declares them.
+    sub.add_parser(
         "lint",
         help="run the determinism & invariant static analyzer",
     )
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories to analyze "
-                           "(default: the installed repro package)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text", dest="fmt",
-                      help="report format (default: text)")
-    lint.add_argument("--select", default=None,
-                      help="comma-separated rule ids or family prefixes "
-                           "(e.g. DET,ENV003)")
-    lint.add_argument("--root", default=None,
-                      help="root for scope-relative paths")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule registry and exit")
-    lint.add_argument("--baseline", nargs="?",
-                      const=".repro-lint-baseline.json", default=None,
-                      metavar="PATH",
-                      help="filter findings recorded in a baseline file "
-                           "before gating")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline file with the current "
-                           "findings")
-    lint.add_argument("--changed", action="store_true",
-                      help="analyze only files changed in the git "
-                           "worktree")
-    lint.add_argument("--cache", action="store_true", dest="lint_cache",
-                      help="reuse findings for content-unchanged files")
-    lint.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="incremental lint cache location")
     cache = sub.add_parser(
         "cache", help="inspect or purge the result and kernel caches"
     )
@@ -219,6 +193,11 @@ def _run_bench(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis.cli import run_lint
+
+        return run_lint(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "list":
         for name in sorted(FIGURES):
@@ -267,28 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         print(render(result, max_rows=args.max_rows))
         return 0
-    if args.command == "lint":
-        from repro.analysis.cli import run_lint
-
-        lint_argv: List[str] = list(args.paths)
-        lint_argv += ["--format", args.fmt]
-        if args.select:
-            lint_argv += ["--select", args.select]
-        if args.root:
-            lint_argv += ["--root", args.root]
-        if args.list_rules:
-            lint_argv.append("--list-rules")
-        if args.baseline:
-            lint_argv += ["--baseline", args.baseline]
-        if args.update_baseline:
-            lint_argv.append("--update-baseline")
-        if args.changed:
-            lint_argv.append("--changed")
-        if args.lint_cache:
-            lint_argv.append("--cache")
-        if args.cache_dir:
-            lint_argv += ["--cache-dir", args.cache_dir]
-        return run_lint(lint_argv)
     if args.command == "cache":
         from repro.experiments.diskcache import get_cache, get_kernel_cache
         if args.action == "kernels":

@@ -1,7 +1,9 @@
 """Static determinism & hot-path invariant analyzer (``repro lint``).
 
 AST-based lint engine specialized to this repository's correctness
-contract.  Four rule families:
+contract: the rules, one entry point
+(:func:`~repro.analysis.core.run_analysis`) and two reporters (text
+and JSON).  Six rule families:
 
 * **DET** — determinism: no wall-clock/entropy at import time, no
   process-global or unseeded RNG, no unordered-set iteration or
@@ -15,6 +17,12 @@ contract.  Four rule families:
 * **GEN** — codegen audit: the span-kernel generator's exec hygiene and
   the generated kernels' call/attribute/global discipline
   (:mod:`.rules_gen`).
+* **COV** — registry coverage: scalar machine state vs the vector
+  columns and span-kernel registries, and the harness's declared cache
+  key fields vs its disk-cache call sites (:mod:`.rules_cov`).
+* **FLO** — seed dataflow: RNG seeds flow from configuration, and no
+  RNG is shared across cells or re-seeded inside a loop
+  (:mod:`.rules_flo`).
 
 Run it with ``repro lint`` (see :mod:`.cli`), extend it by subclassing
 :class:`~repro.analysis.core.Rule` with the

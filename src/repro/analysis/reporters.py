@@ -1,46 +1,32 @@
 """Finding reporters for ``repro lint``.
 
-Three formats:
+Two formats:
 
 * **text** — one ``path:line:col: SEVERITY RULE message`` row per
   finding plus a summary line; for humans and CI logs.
 * **json** — a stable machine-readable document (``version`` field,
   findings as objects, severity tallies, per-rule timing/suppression
-  stats, cache and baseline accounting); for the CI gate and editor
-  integrations.  Consumers should key on ``summary.errors`` for the
-  pass/fail decision, mirroring the CLI's exit code.
-* **sarif** — a SARIF 2.1.0 log (one run, the analyzer as the tool
-  driver, every rule as tool metadata); for code-scanning UIs and the
-  CI artifact upload.
+  stats); for the CI gate and editor integrations.  Consumers should
+  key on ``summary.errors`` for the pass/fail decision, mirroring the
+  CLI's exit code.
 
 JSON document history: version 1 had ``findings`` + ``summary``
 (findings/errors/warnings/checked_files); version 2 adds
-``summary.suppressed``, baseline accounting (``summary.baselined``,
-``summary.stale_baseline_entries`` when a baseline is active), the
-per-rule ``rule_stats`` map, and the ``cache`` block when the
-incremental cache is enabled.
+``summary.suppressed`` and the per-rule ``rule_stats`` map.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.core import Finding, Rule, iter_rule_info
 
 #: Format names accepted by ``repro lint --format``.
-FORMATS = ("text", "json", "sarif")
+FORMATS = ("text", "json")
 
 #: Schema version of the JSON report document.
 JSON_VERSION = 2
-
-#: SARIF log format pinning.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
@@ -55,8 +41,7 @@ def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
 
 def render_text(findings: Sequence[Finding],
                 checked_files: Optional[int] = None,
-                suppressed: Optional[int] = None,
-                baselined: Optional[int] = None) -> str:
+                suppressed: Optional[int] = None) -> str:
     """Human-readable report, one row per finding plus a summary."""
     lines: List[str] = []
     for finding in findings:
@@ -68,12 +53,7 @@ def render_text(findings: Sequence[Finding],
     checked = "" if checked_files is None else (
         " in %d files" % checked_files
     )
-    extras = []
-    if suppressed:
-        extras.append("%d suppressed" % suppressed)
-    if baselined:
-        extras.append("%d baselined" % baselined)
-    extra = " (%s)" % ", ".join(extras) if extras else ""
+    extra = " (%d suppressed)" % suppressed if suppressed else ""
     if summary["findings"]:
         lines.append("%d finding(s)%s: %d error(s), %d warning(s)%s" % (
             summary["findings"], checked, summary["errors"],
@@ -87,10 +67,7 @@ def render_text(findings: Sequence[Finding],
 def render_json(findings: Sequence[Finding],
                 checked_files: Optional[int] = None,
                 suppressed: Optional[int] = None,
-                rule_stats: Optional[Dict[str, object]] = None,
-                cache_stats: Optional[Dict[str, object]] = None,
-                baselined: Optional[int] = None,
-                stale_baseline: Optional[int] = None) -> str:
+                rule_stats: Optional[Dict[str, object]] = None) -> str:
     """Machine-readable report (sorted keys, trailing-newline-free)."""
     document: Dict[str, object] = {
         "version": JSON_VERSION,
@@ -102,103 +79,21 @@ def render_json(findings: Sequence[Finding],
         summary["checked_files"] = checked_files
     if suppressed is not None:
         summary["suppressed"] = suppressed
-    if baselined is not None:
-        summary["baselined"] = baselined
-    if stale_baseline is not None:
-        summary["stale_baseline_entries"] = stale_baseline
     if rule_stats is not None:
         document["rule_stats"] = rule_stats
-    if cache_stats is not None:
-        document["cache"] = cache_stats
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def _sarif_uri(path: str, root: Optional[Path]) -> str:
-    if root is not None:
-        try:
-            return Path(path).resolve().relative_to(
-                root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return Path(path).as_posix()
-
-
-def render_sarif(findings: Sequence[Finding],
-                 rules: Optional[Iterable[Rule]] = None,
-                 root: Optional[Path] = None) -> str:
-    """SARIF 2.1.0 log: one run, the analyzer as the tool driver.
-
-    Paths are relativized to ``root`` (the analysis root) so the log is
-    portable across checkouts; severities map 1:1 onto SARIF levels.
-    """
-    rule_rows = list(iter_rule_info(rules)) if rules is not None else []
-    driver: Dict[str, object] = {
-        "name": "repro-lint",
-        "rules": [
-            {
-                "id": row["id"],
-                "shortDescription": {"text": row["description"]},
-                "defaultConfiguration": {"level": row["severity"]},
-                "properties": {"kind": row["kind"]},
-            }
-            for row in rule_rows
-        ],
-    }
-    results = [
-        {
-            "ruleId": finding.rule,
-            "level": finding.severity,
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": _sarif_uri(finding.path, root),
-                        },
-                        "region": {
-                            "startLine": max(1, finding.line),
-                            "startColumn": finding.col + 1,
-                        },
-                    },
-                }
-            ],
-        }
-        for finding in findings
-    ]
-    document = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {"driver": driver},
-                "results": results,
-                "columnKind": "unicodeCodePoints",
-            }
-        ],
-    }
     return json.dumps(document, indent=2, sort_keys=True)
 
 
 def render(findings: Sequence[Finding], fmt: str,
            checked_files: Optional[int] = None,
            suppressed: Optional[int] = None,
-           rule_stats: Optional[Dict[str, object]] = None,
-           cache_stats: Optional[Dict[str, object]] = None,
-           baselined: Optional[int] = None,
-           stale_baseline: Optional[int] = None,
-           rules: Optional[Iterable[Rule]] = None,
-           root: Optional[Path] = None) -> str:
+           rule_stats: Optional[Dict[str, object]] = None) -> str:
     """Dispatch on ``fmt`` (one of :data:`FORMATS`)."""
     if fmt == "json":
         return render_json(findings, checked_files,
-                           suppressed=suppressed, rule_stats=rule_stats,
-                           cache_stats=cache_stats, baselined=baselined,
-                           stale_baseline=stale_baseline)
+                           suppressed=suppressed, rule_stats=rule_stats)
     if fmt == "text":
-        return render_text(findings, checked_files,
-                           suppressed=suppressed, baselined=baselined)
-    if fmt == "sarif":
-        return render_sarif(findings, rules=rules, root=root)
+        return render_text(findings, checked_files, suppressed=suppressed)
     raise ValueError("unknown format %r (expected one of %s)"
                      % (fmt, ", ".join(FORMATS)))
 

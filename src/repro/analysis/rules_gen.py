@@ -302,26 +302,6 @@ class KernelDiskCacheAudit(ProjectRule):
         "doctored code instead of fresh codegen"
     )
 
-    def project_state_fingerprint(self) -> str:
-        """Stamp of the on-disk kernel cache this rule audits.
-
-        The incremental lint cache may only replay this rule's result
-        while the kernel store is unchanged, so the stamp folds in
-        every entry's shape and source hash.
-        """
-        try:
-            from repro.experiments.diskcache import get_kernel_cache
-
-            cache = get_kernel_cache()
-            if not cache.enabled:
-                return "disabled"
-            return _sha256("\x1f".join(sorted(
-                "%r=%s" % (shape, _sha256(source))
-                for shape, source in cache.entries()
-            )))
-        except Exception:
-            return "unavailable"
-
     def check_project(
         self, modules: Sequence[SourceModule]
     ) -> Iterator[Finding]:

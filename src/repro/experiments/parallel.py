@@ -851,22 +851,18 @@ def _split_pack(pack: List[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
 
 
 def _collect_pack(
-    sweep: SweepResult, payload: object, mix_map: Dict[str, Mix]
+    sweep: SweepResult, payload: EncodedPack, mix_map: Dict[str, Mix]
 ) -> None:
     """Merge one pack's worker payload into the sweep.
 
-    Workers return :class:`EncodedPack` columns; plain row lists (test
-    doubles monkeypatching the worker) are accepted unchanged.
+    Every payload is the :class:`EncodedPack` that
+    :func:`_run_pack_encoded` returns.
     """
-    if isinstance(payload, EncodedPack):
-        sweep.ipc_bytes += payload.nbytes()
-        counters = payload.counters
-        sweep.kernel_disk_hits += counters.get("kernel_disk_hits", 0)
-        sweep.kernels_preloaded += counters.get("kernels_preloaded", 0)
-        rows = decode_pack(payload, mix_map)
-    else:
-        rows = payload
-    for key, result, spent in rows:
+    sweep.ipc_bytes += payload.nbytes()
+    counters = payload.counters
+    sweep.kernel_disk_hits += counters.get("kernel_disk_hits", 0)
+    sweep.kernels_preloaded += counters.get("kernels_preloaded", 0)
+    for key, result, spent in decode_pack(payload, mix_map):
         sweep.results[key] = result
         sweep.cell_timings[key] = spent
 

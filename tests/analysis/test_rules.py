@@ -9,7 +9,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.core import analyze_paths, default_rules
+from repro.analysis.core import analyze_paths, default_rules, run_analysis
 
 
 def lint_source(tmp_path, source, relpath="mod.py", select=None):
@@ -518,12 +518,17 @@ class TestGen001ExecHygiene:
         assert findings == []
 
 
-def lint_tree(tmp_path, files, select=None):
-    """Write a {relpath: source} tree under ``tmp_path`` and lint it."""
+def write_tree(tmp_path, files):
     for relpath, source in files.items():
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
+    return tmp_path
+
+
+def lint_tree(tmp_path, files, select=None):
+    """Write a {relpath: source} tree under ``tmp_path`` and lint it."""
+    write_tree(tmp_path, files)
     rules = default_rules()
     if select is not None:
         rules = [rule for rule in rules if rule.id in select]
@@ -932,6 +937,66 @@ class TestRegistry:
             assert rule.id
             assert rule.severity in ("error", "warning")
             assert rule.description
+
+
+def det_rules():
+    return [r for r in default_rules() if r.id.startswith("DET")]
+
+
+BAD_SOURCE = "import time\nSTART = time.time()\n"
+
+
+class TestOverlappingPathDedupe:
+    def test_nested_paths_report_once(self, tmp_path):
+        tree = write_tree(tmp_path, {"pkg/mod.py": BAD_SOURCE})
+        findings = analyze_paths([tree, tree / "pkg",
+                                  tree / "pkg" / "mod.py"],
+                                 rules=det_rules(), root=tree)
+        assert len(findings) == 1
+
+
+class TestDecoratorAnchoring:
+    SOURCE = """\
+        import time
+
+
+        def deco(stamp):
+            def wrap(fn):
+                return fn
+            return wrap
+
+
+        @deco(time.time())
+        def handler():
+            return 1
+    """
+
+    def test_finding_anchors_at_the_def_line(self, tmp_path):
+        tree = write_tree(tmp_path, {"mod.py": self.SOURCE})
+        findings = analyze_paths([tree], rules=det_rules(), root=tree)
+        assert [f.rule for f in findings] == ["DET001"]
+        # Line 11 is `def handler():`, not line 10 (the decorator).
+        assert findings[0].line == 11
+
+    def test_suppression_on_the_def_line_works(self, tmp_path):
+        source = self.SOURCE.replace(
+            "def handler():",
+            "def handler():  # repro-lint: disable=DET001",
+        )
+        tree = write_tree(tmp_path, {"mod.py": source})
+        assert analyze_paths([tree], rules=det_rules(),
+                             root=tree) == []
+
+
+class TestSuppressedTally:
+    def test_inline_suppression_is_counted(self, tmp_path):
+        tree = write_tree(tmp_path / "src", {
+            "a.py": "import time\n"
+                    "START = time.time()  # repro-lint: disable=DET001\n",
+        })
+        result = run_analysis([tree], rules=det_rules(), root=tree)
+        assert result.findings == []
+        assert result.suppressed == 1
 
 
 @pytest.mark.parametrize("family",
