@@ -10,7 +10,7 @@ scheduler's role:
 2. let a reservation-based dispatcher pack as many streams as possible
    onto a rack of nodes for each distribution (Figure 2 at rack scale);
 3. run a small mixed cluster — one unmanaged node, one Dirigent node —
-   in lockstep and report per-node and cluster-wide outcomes;
+   and report per-node and cluster-wide outcomes;
 4. crash one node of a small fleet mid-run and let the self-healing
    control plane (:mod:`repro.cluster.control`) re-place its stream.
 
@@ -79,7 +79,7 @@ def main(executions: int = EXECUTIONS, rack_nodes: int = RACK_NODES) -> None:
             )
         )
 
-    # A small mixed cluster in lockstep.
+    # A small mixed cluster.
     print()
     print("Running a 2-node cluster (one unmanaged, one Dirigent)...")
     cluster = Cluster(

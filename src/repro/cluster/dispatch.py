@@ -7,13 +7,16 @@ integration point on the simulated substrate:
 
 * :class:`ClusterNode` — one node running a mix under a policy (a
   wrapped :class:`repro.experiments.harness.PolicySession`);
-* :class:`Cluster` — steps many nodes in lockstep and aggregates FG
-  success and batch throughput cluster-wide; with ``vectorized=True``
-  the nodes advance through one multi-cell structure-of-arrays driver
+* :class:`Cluster` — runs many nodes and aggregates FG success and
+  batch throughput cluster-wide.  A clean run drives each node to
+  completion in turn through the batch engine
+  (:meth:`repro.experiments.harness.PolicySession.run_to_completion`);
+  with ``vectorized=True`` the nodes advance together through one
+  multi-cell structure-of-arrays driver
   (:func:`repro.experiments.harness.drive_sessions_vectorized`), so
-  nodes whose simulated state coincides fuse into cell-axis kernels —
-  node results are bit-identical either way, because nodes share no
-  simulated state and the vector driver is bit-exact per machine;
+  nodes whose simulated state coincides fuse into cell-axis kernels.
+  Node results are bit-identical either way, because nodes share no
+  simulated state and both drivers are bit-exact per machine;
 * :class:`ReservationDispatcher` — admission control that places FG task
   streams onto nodes using the tail reservations of their measured
   completion-time distributions (:mod:`repro.sched`), the hand-off a
@@ -85,7 +88,8 @@ class ClusterNode:
         return self.session.done
 
     def tick(self) -> None:
-        """Advance the node by one simulator tick."""
+        """Advance the node by one simulator tick (the per-tick reference
+        for :meth:`Cluster.run`; see :meth:`PolicySession.tick`)."""
         self.session.tick()
 
     def result(self) -> RunResult:
@@ -152,16 +156,19 @@ class ClusterResult:
 
 
 class Cluster:
-    """A set of nodes driven in lockstep.
+    """A set of independent nodes run to completion together.
 
+    By default a clean run drives the nodes one after another, each in
+    ``DRIVE_BLOCK_TICKS`` blocks through its backend's engine.
     ``vectorized=True`` opts the run into the multi-cell
     structure-of-arrays driver: all unfinished nodes advance together
-    in block-tick lockstep, and nodes whose simulated state coincides
-    (e.g. replicas of the same mix/policy at different seeds) fuse into
+    block by block, and nodes whose simulated state coincides (e.g.
+    replicas of the same mix/policy at different seeds) fuse into
     cell-axis kernels.  Nodes share no simulated state, so the result
-    of every node — and therefore of the cluster — is bit-identical to
-    the per-tick default; :attr:`vector_stats` exposes the driver's
-    fusion counters after a vectorized run.
+    of every node — and therefore of the cluster — is the same either
+    way, and the same as stepping every node with
+    :meth:`ClusterNode.tick` until done; :attr:`vector_stats` exposes
+    the driver's fusion counters after a vectorized run.
     """
 
     def __init__(
@@ -192,7 +199,7 @@ class Cluster:
         fault_plan: Optional[NodeFaultPlan] = None,
         control: Optional["object"] = None,
     ) -> ClusterResult:
-        """Step all nodes until each finished its executions.
+        """Run all nodes until each finished its executions.
 
         A non-zero ``fault_plan`` hands the run to the fleet control
         plane (:class:`repro.cluster.control.FleetController`), which
@@ -223,11 +230,8 @@ class Cluster:
             )
             self.vector_stats = driver.stats
         else:
-            pending = list(self._nodes)
-            while pending:
-                for node in pending:
-                    node.tick()
-                pending = [node for node in pending if not node.done]
+            for node in self._nodes:
+                node.session.run_to_completion()
         results = {node.name: node.result() for node in self._nodes}
         met = 0
         total = 0

@@ -81,6 +81,10 @@ class CompletionTimePredictor:
         self._progress = [s.progress for s in profile.segments]
         self._bounds = list(profile.boundaries())
         self._penalty_ema: List[Optional[float]] = [None] * n
+        #: Per-segment expected duration under this task's usual
+        #: contention; rebuilt whenever the penalty EMAs change.
+        self._typical: List[float] = []
+        self._refresh_typical()
         # Per-execution state.
         self._in_execution = False
         self._start_s = 0.0
@@ -204,9 +208,19 @@ class CompletionTimePredictor:
         seg_start = self._bounds[k - 1] if k > 0 else 0.0
         frac_done = (self._last_progress - seg_start) / self._progress[k]
         frac_done = min(max(frac_done, 0.0), 1.0)
-        remaining = (1.0 - frac_done) * self._expected_duration(k)
+        if self._scaling == "alpha":
+            ma = self._alpha_ma.value if self._alpha_ma.initialized else 1.0
+            remaining = (1.0 - frac_done) * self._alpha_duration(k, ma)
+            for i in range(k + 1, n):
+                remaining += self._alpha_duration(i, ma)
+            return elapsed + remaining
+        # Summed left to right on purpose: sum() compensates float
+        # rounding on newer interpreters and would move predictions.
+        rate = self._rate_ma.value if self._rate_ma.initialized else 1.0
+        typical = self._typical
+        remaining = (1.0 - frac_done) * (rate * typical[k])
         for i in range(k + 1, n):
-            remaining += self._expected_duration(i)
+            remaining += rate * typical[i]
         return elapsed + remaining
 
     def finish_execution(self, end_s: float) -> None:
@@ -222,7 +236,7 @@ class CompletionTimePredictor:
         n = self._profile.num_segments
         if k < n and end_s > self._segment_entry_t:
             tail = end_s - self._segment_entry_t
-            weights = [self._typical_duration(i) for i in range(k, n)]
+            weights = self._typical[k:n]
             total_weight = sum(weights)
             cursor = self._segment_entry_t
             for i, weight in zip(range(k, n), weights):
@@ -246,6 +260,8 @@ class CompletionTimePredictor:
                 self._penalty_ema[i] = (
                     self._weight * penalty + (1.0 - self._weight) * prior
                 )
+        if not self.hold_penalty_updates:
+            self._refresh_typical()
         self._in_execution = False
 
     def _close_segment(self, index: int, cross_t: float) -> None:
@@ -257,28 +273,27 @@ class CompletionTimePredictor:
         self._alpha_ma.update(alpha)
         measured = alpha * profiled
         self._measured[index] = measured
-        expected = self._typical_duration(index)
+        expected = self._typical[index]
         if expected > 0:
             rate = min(max(measured / expected, lo), hi)
             self._rate_ma.update(rate)
 
-    def _typical_duration(self, index: int) -> float:
-        """Expected duration of a segment under this task's usual contention."""
-        penalty = self._penalty_ema[index]
-        base = self._durations[index]
-        if penalty is None:
-            return base
-        return max(base * ALPHA_CLAMP[0], base + penalty)
+    def _refresh_typical(self) -> None:
+        """Rebuild each segment's expected duration under this task's
+        usual contention: ``dT_i + Pbar_i`` (floored at the clamp), or
+        the profiled ``dT_i`` before the segment was ever measured."""
+        floor = ALPHA_CLAMP[0]
+        self._typical = [
+            base if penalty is None else max(base * floor, base + penalty)
+            for base, penalty in zip(self._durations, self._penalty_ema)
+        ]
 
-    def _expected_duration(self, index: int) -> float:
-        """Expected duration of segment ``index`` under current contention."""
-        if self._scaling == "alpha":
-            ma = self._alpha_ma.value if self._alpha_ma.initialized else 1.0
-            penalty = self._penalty_ema[index]
-            if penalty is None:
-                # First execution: no penalty history yet; scale the
-                # profiled duration by the contention observed so far.
-                return ma * self._durations[index]
-            return self._durations[index] + ma * penalty
-        rate = self._rate_ma.value if self._rate_ma.initialized else 1.0
-        return rate * self._typical_duration(index)
+    def _alpha_duration(self, index: int, ma: float) -> float:
+        """Equation 2's literal term for segment ``index``: its penalty
+        scaled by the rate-factor average ``ma``."""
+        penalty = self._penalty_ema[index]
+        if penalty is None:
+            # First execution: no penalty history yet; scale the
+            # profiled duration by the contention observed so far.
+            return ma * self._durations[index]
+        return self._durations[index] + ma * penalty

@@ -288,18 +288,19 @@ def run_policy(
         runtime_options=runtime_options,
         fault_plan=fault_plan,
     )
-    while not session.done:
-        session.advance(DRIVE_BLOCK_TICKS)
+    session.run_to_completion()
     return session.result()
 
 
 class PolicySession:
     """An incrementally driven policy run (one node's experiment).
 
-    :func:`run_policy` drives one session to completion; the cluster
-    layer (:mod:`repro.cluster`) steps several sessions in lockstep.
     Construction performs all setup (machine, static settings, runtime);
-    call :meth:`tick` until :attr:`done`, then :meth:`result`.
+    call :meth:`run_to_completion` (or :meth:`advance` until
+    :attr:`done`), then :meth:`result`.  :func:`run_policy`, the
+    non-vector seed batches and clean cluster runs all drive sessions
+    this way; the fleet control plane and the multi-cell driver advance
+    them block by block themselves.
     """
 
     def __init__(
@@ -491,8 +492,11 @@ class PolicySession:
     def tick(self) -> None:
         """Advance the node by one simulator tick.
 
-        Used by the cluster layer to step several sessions in lockstep;
-        single-node runs go through the batched :meth:`advance`.
+        The per-tick reference for :meth:`advance`: the measurement
+        window opens at the same tick and :attr:`done` trips at the same
+        ``DRIVE_BLOCK_TICKS`` boundary, so calling this until
+        :attr:`done` yields the same results as
+        :meth:`run_to_completion`, one scalar ``Machine.tick`` at a time.
         """
         if self._done:
             return
@@ -523,6 +527,12 @@ class PolicySession:
         self.machine.run_ticks(ticks)
         self._ticks += ticks
         self._bookkeep()
+
+    def run_to_completion(self) -> None:
+        """Drive the session until :attr:`done` in ``DRIVE_BLOCK_TICKS``
+        blocks through :meth:`advance`."""
+        while not self._done:
+            self.advance(DRIVE_BLOCK_TICKS)
 
     def _bookkeep(self) -> None:
         done = self.completions()
@@ -775,8 +785,7 @@ def run_policy_batch(
             # are bit-identical by contract, but the keys exist exactly
             # so a regression in one backend cannot leak).
             for session in sessions:
-                while not session.done:
-                    session.advance(DRIVE_BLOCK_TICKS)
+                session.run_to_completion()
         for seed, session in zip(pending, sessions):
             result = session.result()
             results[seed] = result

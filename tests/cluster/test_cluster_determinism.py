@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterNode
-from repro.core.policies import BASELINE
+from repro.core.policies import BASELINE, DIRIGENT
 from repro.experiments.harness import clear_caches, run_policy
 from repro.experiments.mixes import mix_by_name
+from repro.sim.batch import ENV_BACKEND
 
 EXECS = 5
 
@@ -61,3 +62,44 @@ class TestClusterDeterminism:
         short = result.node_results["short"].elapsed_s
         long_ = result.node_results["long"].elapsed_s
         assert long_ > short
+
+
+def _mixed_fleet():
+    """One Baseline node, one Dirigent node and one Dirigent node with
+    no warmup (its measurement window opens after the first tick)."""
+    return [
+        ClusterNode("base", mix_by_name("ferret rs"), BASELINE,
+                    executions=3, warmup=2, seed=0),
+        ClusterNode("dirigent", mix_by_name("ferret rs"), DIRIGENT,
+                    executions=3, warmup=2, seed=1),
+        ClusterNode("cold", mix_by_name("bodytrack bwaves"), DIRIGENT,
+                    executions=3, warmup=0, seed=2),
+    ]
+
+
+class TestPerTickReference:
+    @pytest.mark.parametrize("backend", [None, "scalar"],
+                             ids=["default", "scalar"])
+    def test_block_driven_run_matches_per_tick_lockstep(
+        self, backend, monkeypatch
+    ):
+        # Reference: step every unfinished node one PolicySession.tick
+        # at a time, round-robin, until all are done.  Cluster.run then
+        # only aggregates, because every session is already finished.
+        if backend is not None:
+            monkeypatch.setenv(ENV_BACKEND, backend)
+        nodes = _mixed_fleet()
+        pending = list(nodes)
+        while pending:
+            for node in pending:
+                node.session.tick()
+            pending = [node for node in pending if not node.done]
+        reference = Cluster(nodes).run()
+
+        clear_caches()
+        result = Cluster(_mixed_fleet()).run()
+
+        assert result.node_results == reference.node_results
+        assert result.fg_success_ratio == reference.fg_success_ratio
+        assert result.total_bg_instr_per_s == \
+            reference.total_bg_instr_per_s

@@ -46,6 +46,16 @@ CRASH_PLAN = NodeFaultPlan(
     ),
 )
 
+#: The failover-enabled control plane the self-healing tests pin.
+HEALED = ControlPlaneConfig(failover=True)
+
+
+@pytest.fixture(scope="module")
+def healed_crash_run():
+    """The failover-enabled CRASH_PLAN run, run once for the module."""
+    return Cluster(build_fleet()).run(fault_plan=CRASH_PLAN, control=HEALED)
+
+
 PARTITION_PLAN = NodeFaultPlan(
     scenario="pinned-partition", seed=SEED,
     overrides=(
@@ -61,11 +71,13 @@ class TestSelfHealingQoS:
         "plan", [CRASH_PLAN, PARTITION_PLAN],
         ids=["node-crash", "partition"],
     )
-    def test_failover_beats_no_failover(self, plan):
-        healed = Cluster(build_fleet()).run(
-            fault_plan=plan,
-            control=ControlPlaneConfig(failover=True),
-        )
+    def test_failover_beats_no_failover(self, plan, request):
+        if plan is CRASH_PLAN:
+            healed = request.getfixturevalue("healed_crash_run")
+        else:
+            healed = Cluster(build_fleet()).run(
+                fault_plan=plan, control=HEALED,
+            )
         unhealed = Cluster(build_fleet()).run(
             fault_plan=plan,
             control=ControlPlaneConfig(failover=False),
@@ -80,11 +92,15 @@ class TestSelfHealingQoS:
         lost = len(plan.overrides) * EXECS
         assert unhealed.fg_success_ratio <= 1.0 - lost / (FLEET * EXECS)
 
-    def test_detection_and_recovery_latencies_reported(self):
-        result = Cluster(build_fleet()).run(fault_plan=CRASH_PLAN)
+    def test_detection_and_recovery_latencies_reported(self, request):
+        cfg = ControlPlaneConfig.from_env()
+        if cfg == HEALED:
+            # A run without an explicit config resolves to this one.
+            result = request.getfixturevalue("healed_crash_run")
+        else:
+            result = Cluster(build_fleet()).run(fault_plan=CRASH_PLAN)
         assert len(result.time_to_detection_s) == 2
         assert len(result.time_to_recovery_s) == 2
-        cfg = ControlPlaneConfig.from_env()
         for ttd, ttr in zip(
             result.time_to_detection_s, result.time_to_recovery_s
         ):
@@ -141,18 +157,32 @@ def _small_fleet_run(vectorized=False):
     return cluster.run(fault_plan=MIXED_PLAN)
 
 
+@pytest.fixture(scope="module")
+def serial_small_run():
+    """One serial ``_small_fleet_run``, shared by the determinism tests."""
+    return _small_fleet_run(vectorized=False)
+
+
+@pytest.fixture(scope="module")
+def vector_small_run():
+    """One vectorized ``_small_fleet_run``."""
+    return _small_fleet_run(vectorized=True)
+
+
 class TestDeterminism:
-    def test_repeat_runs_identical(self):
-        first = _small_fleet_run()
+    def test_repeat_runs_identical(self, serial_small_run):
+        first = serial_small_run
         second = _small_fleet_run()
         assert first.fleet_report.event_signature == \
             second.fleet_report.event_signature
         assert first.node_results == second.node_results
         assert first.fg_success_ratio == second.fg_success_ratio
 
-    def test_serial_vs_vectorized_bit_identical(self):
-        serial = _small_fleet_run(vectorized=False)
-        vector = _small_fleet_run(vectorized=True)
+    def test_serial_vs_vectorized_bit_identical(
+        self, serial_small_run, vector_small_run
+    ):
+        serial = serial_small_run
+        vector = vector_small_run
         assert serial.fleet_report.event_signature == \
             vector.fleet_report.event_signature
         assert serial.node_results == vector.node_results

@@ -292,3 +292,103 @@ class TestSamplingArtifacts:
         assert predictor.segments_completed == 1
         predictor.observe(0.015, 2.4e7)
         assert predictor.segments_completed == 2
+
+
+def reference_predict(predictor, now_s):
+    """Longhand Equation 2 projection, read straight from the predictor's
+    state: two helper evaluations per remaining segment, summed left to
+    right (the form ``predict`` had before the typical durations were
+    kept in a list)."""
+    p = predictor
+    elapsed = now_s - p._start_s
+    k = p._segment_index
+    n = p.profile.num_segments
+    if k >= n:
+        return elapsed
+    seg_start = p._bounds[k - 1] if k > 0 else 0.0
+    frac_done = (p._last_progress - seg_start) / p._progress[k]
+    frac_done = min(max(frac_done, 0.0), 1.0)
+
+    def expected(i):
+        penalty = p._penalty_ema[i]
+        base = p._durations[i]
+        if p._scaling == "alpha":
+            ma = p._alpha_ma.value if p._alpha_ma.initialized else 1.0
+            if penalty is None:
+                return ma * base
+            return base + ma * penalty
+        rate = p._rate_ma.value if p._rate_ma.initialized else 1.0
+        return rate * reference_typical(p, i)
+
+    remaining = (1.0 - frac_done) * expected(k)
+    for i in range(k + 1, n):
+        remaining += expected(i)
+    return elapsed + remaining
+
+
+def reference_typical(predictor, index):
+    """Longhand typical duration of one segment from the penalty EMAs."""
+    penalty = predictor._penalty_ema[index]
+    base = predictor._durations[index]
+    if penalty is None:
+        return base
+    return max(base * ALPHA_CLAMP[0], base + penalty)
+
+
+random_profiles = st.lists(
+    st.tuples(
+        st.floats(min_value=0.001, max_value=0.008),
+        st.floats(min_value=1e6, max_value=2e7),
+    ),
+    min_size=2,
+    max_size=12,
+).map(
+    lambda segments: ExecutionProfile(
+        workload_name="random",
+        sampling_period_s=0.005,
+        segments=tuple(
+            ProfileSegment(duration_s=d, progress=p) for d, p in segments
+        ),
+    )
+)
+
+executions = st.lists(
+    st.tuples(
+        st.floats(min_value=0.5, max_value=4.0),  # slowdown
+        st.floats(min_value=0.001, max_value=0.008),  # sample period
+        st.booleans(),  # hold_penalty_updates
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestFlatLoopBitIdentity:
+    @given(
+        profile=random_profiles,
+        runs=executions,
+        scaling=st.sampled_from(["penalty-ratio", "alpha"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_predict_equals_longhand_reference(self, profile, runs, scaling):
+        predictor = CompletionTimePredictor(profile, scaling=scaling)
+        n = profile.num_segments
+        mean_rate = profile.total_progress / sum(
+            s.duration_s for s in profile.segments
+        )
+        start = 0.0
+        for slowdown, period, hold in runs:
+            predictor.hold_penalty_updates = hold
+            rate = mean_rate / slowdown
+            end = start + profile.total_progress / rate
+            predictor.start_execution(start)
+            t = start + period
+            while t < end:
+                predictor.observe(t, rate * (t - start))
+                assert predictor.predict(t) == reference_predict(predictor, t)
+                t += period
+            predictor.finish_execution(end)
+            assert predictor._typical == [
+                reference_typical(predictor, i) for i in range(n)
+            ]
+            start = end
